@@ -190,7 +190,7 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(m)}
+	srv := newServer(*addr, serve.NewHandler(m))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -236,4 +236,27 @@ func main() {
 	met := m.Metrics()
 	log.Printf("served %d slots across %d sessions (%d resumed, %d evicted)",
 		met.SlotsPushed, met.SessionsOpened, met.SessionsResumed, met.SessionsEvicted)
+}
+
+// Connection limits against slow or hostile clients. A client must send
+// its whole request header within readHeaderTimeout — trickling it byte
+// by byte does not extend the deadline — and in at most maxHeaderBytes;
+// a keep-alive connection idle between requests is closed after
+// idleTimeout. ReadTimeout and WriteTimeout stay unset: an SSE advisory
+// stream is one response that lasts as long as its subscriber.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newServer builds the daemon's HTTP server with the connection limits.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }

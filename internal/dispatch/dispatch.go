@@ -36,6 +36,13 @@
 // the previous solve's (hi, ν*) as a warm start — walking a DP lattice
 // line in grid order moves ν* monotonically and slowly — and still return
 // results bit-for-bit identical to a cold solve.
+//
+// The search therefore runs on the integer cell index k ∈ [0, 2^47]
+// itself, evaluating the absorbed volume only at cell edges k·h until the
+// bracket is one cell wide. It probes the warm dual's cell first, then the
+// secant estimate's, then the cost functions' jump and saturation points,
+// with bisection on k as the safeguard: a few evaluations per solve on a
+// DP sweep, where a float bracket needed dozens.
 package dispatch
 
 import (
@@ -319,39 +326,81 @@ func (sv *Solver) solveDual(lambda float64) float64 {
 	warm := sv.warm
 	if sv.opaque {
 		// Golden-section-evaluated totals jitter non-monotonically at the
-		// ~1e-13 scale — wider than a dyadic cell — so the snap's landing
-		// cell would depend on where the hint made it start. Hints are
-		// ignored and the solve runs the hint-free reference bisection:
-		// slower, but deterministic for any call history.
+		// ~1e-13 scale — wider than a dyadic cell — so where a search lands
+		// would depend on where the hint made it start. Hints are ignored
+		// and the solve runs the hint-free reference bisection: slower,
+		// but deterministic for any call history.
 		warm = Warm{}
 	}
-	v0 := sv.total(0)
-	if v0 >= lambda {
-		sv.warm = Warm{Hi: math.Max(warm.Hi, 1), Nu: 0}
-		return 0
+	// ν* = 0 when the types absorb lambda at zero marginal cost. Cold and
+	// zero-dual hints test that first; after a positive hint a monotone
+	// total needs total(0) only if the bracket settles on hi = 1, since
+	// any evaluation below lambda already rules ν* = 0 out.
+	v0, haveV0 := 0.0, false
+	if warm.Nu <= 0 {
+		v0, haveV0 = sv.total(0), true
+		if v0 >= lambda {
+			sv.warm = Warm{Hi: math.Max(warm.Hi, 1), Nu: 0}
+			return 0
+		}
 	}
 
 	// Settle hi on the smallest power of two in [1, 2^200] whose absorbed
 	// volume reaches lambda, starting from the warm bracket when present.
+	// Every evaluation on the way brackets the crossing: total(a) = va <
+	// lambda <= total(b) = vb, with a = 0 until one lands below lambda.
 	hi := 1.0
-	if warm.Hi >= 1 && warm.Hi <= maxDualHi {
-		hi = warm.Hi
+	if frac, _ := math.Frexp(warm.Hi); frac == 0.5 && warm.Hi >= 1 && warm.Hi <= maxDualHi {
+		hi = warm.Hi // only a power of two keeps the search on the canonical cells
 	}
 	v := sv.total(hi)
+	a, va, b, vb := 0.0, v0, hi, v
 	if v < lambda {
 		for hi < maxDualHi && v < lambda {
+			a, va = hi, v
 			hi *= 2
 			v = sv.total(hi)
 		}
+		b, vb = hi, v
 	} else {
-		for hi > 1 {
+		for {
+			// Any point of [hi/2, hi) below lambda proves hi minimal; at
+			// hi = 1 any point of (0, 1) does, and rules out ν* = 0 too.
+			// The hint's cell edge is tried first when it lies there: it
+			// usually brackets the crossing tightly as well.
+			lower := hi / 2
+			if hi == 1 {
+				lower = 0
+			}
+			h := math.Ldexp(hi, -dualBits)
+			if e := math.Floor(warm.Nu/h) * h; e > lower && e < b {
+				ve := sv.total(e)
+				if ve < lambda {
+					a, va = e, ve
+					break
+				}
+				b, vb = e, ve
+			}
+			if hi == 1 {
+				break
+			}
 			vv := sv.total(hi / 2)
 			if vv < lambda {
+				a, va = hi/2, vv
 				break
 			}
 			hi /= 2
 			v = vv
+			b, vb = hi, v
 		}
+	}
+	if a == 0 && !haveV0 {
+		// hi = 1 and nothing below it has been evaluated.
+		if v0 = sv.total(0); v0 >= lambda {
+			sv.warm = Warm{Hi: 1, Nu: 0}
+			return 0
+		}
+		va = v0
 	}
 	if v <= lambda {
 		// Exact hit at the bracket, or demand beyond the growth cap.
@@ -363,78 +412,112 @@ func (sv *Solver) solveDual(lambda float64) float64 {
 		sv.warm = Warm{Hi: hi, Nu: nu}
 		return nu
 	}
-
-	// Bracketed root search on [0, hi] down to one dyadic cell. Secant
-	// steps give the fast convergence; interleaved midpoint bisection
-	// guarantees geometric shrink on hard (flat or jumpy) totals. The
-	// warm dual seeds the bracket when it lies inside.
 	h := math.Ldexp(hi, -dualBits)
-	a, va := 0.0, v0
-	b, vb := hi, v
-	if nu := warm.Nu; nu > 0 && nu < hi {
-		if vn := sv.total(nu); vn < lambda {
-			a, va = nu, vn
-		} else {
-			b, vb = nu, vn
-		}
-	}
-	for i := 0; b-a > h && i < 256; i++ {
-		mid := a + (b-a)/2
-		if i%2 == 0 && vb > va {
-			if s := a + (lambda-va)*(b-a)/(vb-va); s > a && s < b {
-				mid = s
-			}
-		}
-		if vm := sv.total(mid); vm < lambda {
-			a, va = mid, vm
-		} else {
-			b, vb = mid, vm
-		}
-	}
-
-	// Snap onto the canonical dyadic cell: the unique k with
-	// total(k·h) < lambda <= total((k+1)·h). The crossing lies in [a, b],
-	// so for a monotone total k is at most a step or two from floor(a/h);
-	// the walks also absorb any float rounding in the division. Should a
-	// total ever jitter non-monotonically at cell scale regardless (the
-	// opaque family is already routed around this path), a small budget
-	// stops the walk and falls back to the reference bisection, which
-	// terminates unconditionally.
-	k := int64(math.Floor(a / h))
-	if k < 0 {
-		k = 0
-	}
-	if k > dualCells-1 {
-		k = dualCells - 1
-	}
-	moved := 0
-	for k > 0 && moved < snapBudget && sv.total(float64(k)*h) >= lambda {
-		k--
-		moved++
-	}
-	for k+1 < dualCells && moved < snapBudget && sv.total(float64(k+1)*h) < lambda {
-		k++
-		moved++
-	}
-	var nu float64
-	if moved >= snapBudget {
-		nu = sv.dualBisect(hi, lambda)
-	} else {
-		lo := float64(k) * h
-		nu = lo + (float64(k+1)*h-lo)/2
-	}
+	c := cellSearch{sv: sv, h: h, lambda: lambda,
+		lo: int64(a / h), up: int64(b / h), vlo: va, vup: vb}
+	nu := c.run(warm.Nu)
 	sv.warm = Warm{Hi: hi, Nu: nu}
 	return nu
 }
 
-// snapBudget bounds the dyadic snap walk; monotone totals need at most a
-// couple of steps, so exhausting it signals a noisy (opaque) total.
-const snapBudget = 64
+// cellSearch finds the canonical cell of a monotone total directly on the
+// integer cell index k ∈ [0, 2^47], evaluating total only at the dyadic
+// edges k·h. It keeps total(lo·h) < lambda <= total(up·h) and stops at
+// up−lo == 1, which is the canonical cell by definition.
+type cellSearch struct {
+	sv       *Solver
+	h        float64
+	lambda   float64
+	lo, up   int64
+	vlo, vup float64 // total(lo·h), total(up·h)
+}
+
+// run narrows the bracket to one cell and returns its midpoint, with no
+// further rounding or snapping. hint is the previous solve's ν* (0 for
+// none). Three kinds of probe find the cell fast:
+//
+//	(a) the hint's cell edges: along a lattice line a crossing at a cost
+//	    jump stays in the same cell from solve to solve;
+//	(b) the secant estimate's cell edges, kept while a step more than
+//	    halves the bracket — otherwise the next step bisects on k;
+//	(c) once the secant first stalls, the cost functions' breakpoints
+//	    (see probeBreakpoints), where crossings concentrate.
+func (c *cellSearch) run(hint float64) float64 {
+	if hint > 0 {
+		if k := hint / c.h; k < float64(c.up) {
+			c.probe(int64(k))
+			c.probe(int64(k) + 1)
+		}
+	}
+	bisect, breaks := false, false
+	for c.up-c.lo > 1 {
+		width := c.up - c.lo
+		if bisect {
+			c.probe(c.lo + width/2)
+		} else {
+			k := int64(float64(c.lo) + (c.lambda-c.vlo)/(c.vup-c.vlo)*float64(width))
+			if k >= c.up {
+				k = c.up - 1 // crossing estimated at up itself: test below
+			}
+			c.probe(k)
+			c.probe(k + 1)
+		}
+		stalled := !bisect && 2*(c.up-c.lo) > width
+		if stalled && !breaks {
+			breaks = true
+			c.probeBreakpoints()
+			stalled = 2*(c.up-c.lo) > width
+		}
+		bisect = stalled
+	}
+	lo := float64(c.lo) * c.h
+	return lo + (float64(c.lo+1)*c.h-lo)/2
+}
+
+// probe evaluates total at the edge k·h when it lies strictly inside the
+// bracket and moves the bracket's matching end there.
+func (c *cellSearch) probe(k int64) {
+	if k <= c.lo || k >= c.up {
+		return
+	}
+	if v := c.sv.total(float64(k) * c.h); v < c.lambda {
+		c.lo, c.vlo = k, v
+	} else {
+		c.up, c.vup = k, v
+	}
+}
+
+// probeBreakpoints probes where an invertible type's absorbed volume
+// bends: at d0 = f'(0) it starts absorbing and at dc = f'(Cap) it
+// saturates. Probing the edge at each leaves the bracket on one smooth
+// piece, where the secant is exact or nearly so. A constant marginal cost
+// (Constant, Affine, Power with Exp 1, Scaled wraps of these) has
+// d0 == dc: the volume jumps from 0 to capacity at the first edge
+// k·h >= d0, so a crossing inside the jump lies in cell ceil(d0/h)−1 and
+// both of its edges are probed.
+func (c *cellSearch) probeBreakpoints() {
+	for i := range c.sv.plans {
+		p := &c.sv.plans[i]
+		if p.kind != planInvertible {
+			continue
+		}
+		d0, dc := p.inv.Deriv(0), p.inv.Deriv(p.srv.Cap)
+		if k := math.Ceil(d0 / c.h); k > float64(c.lo) && k <= float64(c.up) {
+			if d0 == dc {
+				c.probe(int64(k) - 1)
+			}
+			c.probe(int64(k))
+		}
+		if k := math.Ceil(dc / c.h); dc != d0 && k > float64(c.lo) && k < float64(c.up) {
+			c.probe(int64(k))
+		}
+	}
+}
 
 // dualBisect is the legacy midpoint bisection of [0, hi]: 47 halvings,
-// then the final bracket's midpoint. It is the reference the fast path's
-// answer is defined by, and the hint-free fallback when a noisy total
-// defeats the snap.
+// then the final bracket's midpoint. It defines the canonical answer that
+// cellSearch reaches faster, and it is the hint-free search of the opaque
+// path, whose noisy totals a cellSearch could not bracket reliably.
 func (sv *Solver) dualBisect(hi, lambda float64) float64 {
 	a, b := 0.0, hi
 	for i := 0; i < dualBits; i++ {

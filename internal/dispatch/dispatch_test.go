@@ -317,6 +317,7 @@ func BenchmarkAssignInvertibleD2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Assign(servers, 7.3)
 	}
+	reportEvals(b, servers, 7.3, false)
 }
 
 func BenchmarkAssignInvertibleD4(b *testing.B) {
@@ -330,6 +331,7 @@ func BenchmarkAssignInvertibleD4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Assign(servers, 11.1)
 	}
+	reportEvals(b, servers, 11.1, false)
 }
 
 func BenchmarkAssignOpaque(b *testing.B) {

@@ -60,4 +60,5 @@ func BenchmarkSolverCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sv.Cost(servers, 7.3)
 	}
+	reportEvals(b, servers, 7.3, true)
 }
